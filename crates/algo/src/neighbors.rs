@@ -1,5 +1,9 @@
 //! Top-k selection of weighted neighbours.
 
+use crate::kernel::CsrRatings;
+use crate::recommender::NeighborContribution;
+use exrec_types::UserId;
+
 /// Keeps the `k` entries with the largest key, in descending key order.
 ///
 /// A simple partial sort: at the sizes the toolkit handles (thousands of
@@ -70,6 +74,83 @@ where
             .then(a.1.cmp(&b.1))
     });
     top.into_iter().map(|(_, _, item)| item).collect()
+}
+
+/// Every eligible item's top-`k` raters by similarity to `user`, from
+/// one sorted pass over the scored users instead of a [`top_k_stream`]
+/// down each item's column.
+///
+/// The users `v ≠ user` with `sims[v] > min_similarity` are sorted once
+/// by similarity descending, then user id ascending. Their CSR rows are
+/// walked in that order, appending `v` to each eligible item's list
+/// until the list holds `k` (or all of the item's raters), and the walk
+/// stops once no list can grow. That is item by item the list
+/// [`top_k_stream`] keeps over the item's column: raters arrive there
+/// in ascending user id and equal keys keep arrival order, so tied
+/// neighbours come out in the same order too
+/// (`docs/kernels.md#neighbour-ranking`).
+///
+/// `eligible[i]` marks the items to rank; the result holds one list per
+/// entry of `eligible`, empty for the rest. `sims` is the dense table
+/// [`scan_similarities`](crate::kernel::scan_similarities) fills.
+pub fn top_k_per_item(
+    csr: &CsrRatings,
+    sims: &[f64],
+    user: UserId,
+    eligible: &[bool],
+    k: usize,
+    min_similarity: f64,
+) -> Vec<Vec<NeighborContribution>> {
+    // A list is complete at `k` entries, or once every rater is in it.
+    let target: Vec<usize> = eligible
+        .iter()
+        .enumerate()
+        .map(|(i, &e)| if e { k.min(csr.col(i).0.len()) } else { 0 })
+        .collect();
+    let mut open = target.iter().filter(|&&t| t > 0).count();
+    let mut lists: Vec<Vec<NeighborContribution>> =
+        target.iter().map(|&t| Vec::with_capacity(t)).collect();
+    if open == 0 {
+        return lists;
+    }
+    let mut ranked: Vec<(f64, u32)> = sims
+        .iter()
+        .enumerate()
+        .filter(|&(v, &s)| v != user.index() && s > min_similarity)
+        .map(|(v, &s)| (s, v as u32))
+        .collect();
+    // `partial_cmp`, not `total_cmp`: `top_k_stream` treats -0.0 and
+    // 0.0 as tied, so they must fall back to the user-id order here
+    // too. NaN never passes the filter above.
+    ranked.sort_unstable_by(|a, b| {
+        b.0.partial_cmp(&a.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.1.cmp(&b.1))
+    });
+    for (similarity, v) in ranked {
+        let (items, vals) = csr.row(v as usize);
+        for (&i, &rating) in items.iter().zip(vals) {
+            let i = i as usize;
+            let Some(&want) = target.get(i) else {
+                continue;
+            };
+            let list = &mut lists[i];
+            if list.len() < want {
+                list.push(NeighborContribution {
+                    user: UserId(v),
+                    similarity,
+                    rating,
+                });
+                if list.len() == want {
+                    open -= 1;
+                }
+            }
+        }
+        if open == 0 {
+            break;
+        }
+    }
+    lists
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::cache::SimilarityCache;
 use crate::kernel::{scan_similarities, CsrRatings, ScanEngine, ScanMode, SimParams};
-use crate::neighbors::{top_k_by, top_k_stream};
+use crate::neighbors::{top_k_by, top_k_per_item, top_k_stream};
 use crate::recommender::{Ctx, ModelEvidence, NeighborContribution, Recommender, Scored};
 use crate::similarity::{self, Similarity};
 use exrec_types::{Confidence, Error, ItemId, Prediction, Result, UserId};
@@ -63,7 +63,11 @@ impl Default for UserKnnConfig {
 /// ([`ScanMode::Pruned`], recall ≥ 0.99 with automatic exact fallback).
 /// The engine snapshots the matrix per revision, so mid-session
 /// re-rating is still observed on the next call, exactly like the
-/// cache's invalidation contract. See `docs/kernels.md`.
+/// cache's invalidation contract. With an engine, `recommend` scans
+/// once per request and ranks every unrated item's neighbours in one
+/// sorted pass over the scored users' rows; `predict`, `neighbors` and
+/// `evidence` scan only the item's raters. Both feed the same
+/// prediction arithmetic. See `docs/kernels.md`.
 #[derive(Debug, Clone, Default)]
 pub struct UserKnn {
     config: UserKnnConfig,
@@ -324,9 +328,10 @@ impl UserKnn {
         }
     }
 
-    /// Ranks an item's raters from a dense similarity table, mirroring
+    /// Ranks one item's raters from a dense similarity table, mirroring
     /// the brute path's filter/tie-break exactly: raters in ascending
-    /// user order, keep `s > min_similarity`, stable top-k.
+    /// user order, keep `s > min_similarity`, stable top-k. The
+    /// single-item path; whole-request ranking uses [`top_k_per_item`].
     fn gather_neighbors(
         &self,
         csr: &CsrRatings,
@@ -350,35 +355,32 @@ impl UserKnn {
         top_k_stream(contributions, self.config.k, |n| n.similarity)
     }
 
-    /// Scores one candidate item from the dense similarity table with
-    /// the same arithmetic as [`UserKnn::predict`] (neighbour means off
-    /// the CSR snapshot are bit-identical to the live matrix's).
-    #[allow(clippy::too_many_arguments)]
-    fn score_item(
+    /// The mean-centred prediction from a ranked neighbourhood, shared
+    /// by [`UserKnn::predict`] and the kernel-backed ranking.
+    /// `mean_of` looks up a neighbour's mean rating. `Err` carries the
+    /// reason there is no prediction.
+    fn predict_from(
         &self,
-        csr: &CsrRatings,
         ctx: &Ctx<'_>,
-        sims: &[f64],
-        user: UserId,
-        item: ItemId,
         user_mean: f64,
-        global_mean: f64,
-    ) -> Option<Scored> {
-        let neighbors = self.gather_neighbors(csr, sims, user, item);
+        neighbors: &[NeighborContribution],
+        mean_of: impl Fn(UserId) -> f64,
+    ) -> std::result::Result<Prediction, &'static str> {
         if neighbors.is_empty() {
-            return None;
+            return Err("no similar users rated this item");
         }
         let mut num = 0.0;
         let mut den = 0.0;
-        for n in &neighbors {
-            let n_mean = csr.user_mean_or(n.user.index(), global_mean);
-            num += n.similarity * (n.rating - n_mean);
+        for n in neighbors {
+            num += n.similarity * (n.rating - mean_of(n.user));
             den += n.similarity.abs();
         }
         if den <= 1e-12 {
-            return None;
+            return Err("neighbour similarities cancel out");
         }
         let score = ctx.ratings.scale().bound(user_mean + num / den);
+
+        // Confidence: neighbourhood fill × rating agreement.
         let fill = neighbors.len() as f64 / self.config.k as f64;
         let mean_rating = neighbors.iter().map(|n| n.rating).sum::<f64>() / neighbors.len() as f64;
         let var = neighbors
@@ -389,10 +391,7 @@ impl UserKnn {
         let span = ctx.ratings.scale().span();
         let agreement = 1.0 - (var.sqrt() / (span / 2.0)).min(1.0);
         let confidence = Confidence::new(fill.min(1.0) * (0.3 + 0.7 * agreement));
-        Some(Scored {
-            item,
-            prediction: Prediction::new(score, confidence),
-        })
+        Ok(Prediction::new(score, confidence))
     }
 
     /// The trait-default ranking (predict every unrated item through
@@ -425,9 +424,14 @@ impl UserKnn {
     }
 
     /// Kernel-backed ranking: one similarity scan for the whole
-    /// request, then a per-item gather — instead of one scan per
-    /// candidate item. Output matches the trait-default path
-    /// bit-for-bit in exact mode.
+    /// request, then one sorted pass over the scored users' rows
+    /// ([`top_k_per_item`]) ranks every unrated item's neighbours at
+    /// once, and each item is scored from its list. The lists equal a
+    /// per-item [`UserKnn::neighbors`] call's, so output matches the
+    /// trait-default path bit-for-bit in exact mode. The gather costs
+    /// the rows of the passing users, cut short once every list is
+    /// full, not the columns of the unrated items
+    /// (`docs/kernels.md#neighbour-ranking`).
     fn recommend_scanned(
         &self,
         ctx: &Ctx<'_>,
@@ -471,12 +475,31 @@ impl UserKnn {
         let global_mean = ctx.ratings.global_mean();
         let mut scored: Vec<Scored> = {
             let _p = exrec_obs::profile::phase("gather");
-            ctx.catalog
-                .ids()
-                .filter(|&i| {
-                    i.index() < ctx.ratings.n_items() && ctx.ratings.rating(user, i).is_none()
+            let mut eligible = vec![false; csr.n_items()];
+            for i in ctx.catalog.ids() {
+                if let Some(e) = eligible.get_mut(i.index()) {
+                    *e = ctx.ratings.rating(user, i).is_none();
+                }
+            }
+            let lists = top_k_per_item(
+                &csr,
+                &sims,
+                user,
+                &eligible,
+                self.config.k,
+                self.config.min_similarity,
+            );
+            let mean_of = |v: UserId| csr.user_mean_or(v.index(), global_mean);
+            lists
+                .iter()
+                .enumerate()
+                .filter_map(|(i, neighbors)| {
+                    let prediction = self.predict_from(ctx, user_mean, neighbors, mean_of).ok()?;
+                    Some(Scored {
+                        item: ItemId::new(i as u32),
+                        prediction,
+                    })
                 })
-                .filter_map(|i| self.score_item(&csr, ctx, &sims, user, i, user_mean, global_mean))
                 .collect()
         };
         drop(scan);
@@ -540,45 +563,13 @@ impl Recommender for UserKnn {
             .user_mean(user)
             .unwrap_or_else(|| ctx.ratings.global_mean());
         let neighbors = self.neighbors(ctx, user, item);
-        if neighbors.is_empty() {
-            return Err(Error::NoPrediction {
-                user,
-                item,
-                reason: "no similar users rated this item",
-            });
-        }
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for n in &neighbors {
-            let n_mean = ctx
-                .ratings
-                .user_mean(n.user)
-                .unwrap_or_else(|| ctx.ratings.global_mean());
-            num += n.similarity * (n.rating - n_mean);
-            den += n.similarity.abs();
-        }
-        if den <= 1e-12 {
-            return Err(Error::NoPrediction {
-                user,
-                item,
-                reason: "neighbour similarities cancel out",
-            });
-        }
-        let score = ctx.ratings.scale().bound(user_mean + num / den);
-
-        // Confidence: neighbourhood fill × rating agreement.
-        let fill = neighbors.len() as f64 / self.config.k as f64;
-        let mean_rating = neighbors.iter().map(|n| n.rating).sum::<f64>() / neighbors.len() as f64;
-        let var = neighbors
-            .iter()
-            .map(|n| (n.rating - mean_rating).powi(2))
-            .sum::<f64>()
-            / neighbors.len() as f64;
-        let span = ctx.ratings.scale().span();
-        let agreement = 1.0 - (var.sqrt() / (span / 2.0)).min(1.0);
-        let confidence = Confidence::new(fill.min(1.0) * (0.3 + 0.7 * agreement));
-
-        Ok(Prediction::new(score, confidence))
+        let mean_of = |v: UserId| {
+            ctx.ratings
+                .user_mean(v)
+                .unwrap_or_else(|| ctx.ratings.global_mean())
+        };
+        self.predict_from(ctx, user_mean, &neighbors, mean_of)
+            .map_err(|reason| Error::NoPrediction { user, item, reason })
     }
 
     fn evidence(&self, ctx: &Ctx<'_>, user: UserId, item: ItemId) -> Result<ModelEvidence> {

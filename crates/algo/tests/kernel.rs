@@ -10,6 +10,10 @@
 //!   survive the filter.
 //! * **Tile size is a pure performance knob** — any tile size produces
 //!   the identical exact ranking.
+//! * **The sorted row walk ranks like the column walk** — every unrated
+//!   item's neighbour list, score and confidence from one sorted pass
+//!   over the scored users equals the per-item column walk's, bit for
+//!   bit, in exact and pruned mode.
 //! * **Pruned mode keeps recall@k ≥ 0.99** against exact on seeded
 //!   synthetic worlds, and **falls back to exact** when the candidate
 //!   set is too small for `k`.
@@ -20,7 +24,8 @@ use exrec_algo::cache::{CacheConfig, SimilarityCache};
 use exrec_algo::kernel::{
     overlap_candidates, scan_similarities, union_sorted, CsrRatings, SimParams,
 };
-use exrec_algo::neighbors::top_k_stream;
+use exrec_algo::neighbors::{top_k_per_item, top_k_stream};
+use exrec_algo::recommender::NeighborContribution;
 use exrec_algo::user_knn::UserKnnConfig;
 use exrec_algo::{
     Ctx, IndexConfig, KernelConfig, Recommender, ScanEngine, ScanMode, Scored, Similarity,
@@ -28,7 +33,7 @@ use exrec_algo::{
 };
 use exrec_data::synth::{movies, WorldConfig};
 use exrec_data::{RatingsMatrix, World};
-use exrec_types::{ItemId, UserId};
+use exrec_types::{Confidence, ItemId, Prediction, UserId};
 use proptest::prelude::*;
 
 fn world(n_users: usize, n_items: usize, seed: u64) -> World {
@@ -333,6 +338,210 @@ proptest! {
             let want = if subset.contains(&(v as u32)) { a[v] } else { 0.0 };
             prop_assert_eq!(b[v].to_bits(), want.to_bits(), "subset scan, candidate {}", v);
         }
+    }
+}
+
+/// The list of users one request scans, chosen the way the serving
+/// path chooses it: every user in exact mode; in pruned mode the
+/// cluster probes united with the overlap pass, or every user when that
+/// set is under the fallback floor.
+fn scan_list(
+    engine: &ScanEngine,
+    csr: &Arc<CsrRatings>,
+    user: UserId,
+    mode: ScanMode,
+    k: usize,
+) -> Vec<u32> {
+    let every = (0..csr.n_users() as u32).collect();
+    if mode == ScanMode::Exact {
+        return every;
+    }
+    let clustered = engine.index(csr).candidates(csr, user.raw());
+    let budget = engine.index_config().resolve_budget(csr.n_users());
+    let candidates = union_sorted(&clustered, &overlap_candidates(csr, user, budget));
+    if candidates.len() < engine.fallback_floor(k) {
+        every
+    } else {
+        candidates
+    }
+}
+
+/// Reference gather: one item's column walked in ascending user id,
+/// raters kept at `s > min_similarity`, one streaming top-k per item.
+fn column_walk(
+    csr: &CsrRatings,
+    sims: &[f64],
+    user: UserId,
+    item: usize,
+    config: &UserKnnConfig,
+) -> Vec<NeighborContribution> {
+    let (users, vals) = csr.col(item);
+    let raters = users
+        .iter()
+        .zip(vals)
+        .filter(|&(&v, _)| v != user.raw())
+        .filter_map(|(&v, &rating)| {
+            let similarity = sims[v as usize];
+            (similarity > config.min_similarity).then_some(NeighborContribution {
+                user: UserId(v),
+                similarity,
+                rating,
+            })
+        });
+    top_k_stream(raters, config.k, |n| n.similarity)
+}
+
+/// Reference scoring of one neighbour list: mean-centred prediction,
+/// confidence from neighbourhood fill and rating agreement.
+fn reference_prediction(
+    ctx: &Ctx<'_>,
+    csr: &CsrRatings,
+    user: UserId,
+    neighbors: &[NeighborContribution],
+    k: usize,
+) -> Option<Prediction> {
+    if neighbors.is_empty() {
+        return None;
+    }
+    let global_mean = ctx.ratings.global_mean();
+    let user_mean = ctx.ratings.user_mean(user).unwrap_or(global_mean);
+    let (mut num, mut den) = (0.0, 0.0);
+    for n in neighbors {
+        num += n.similarity * (n.rating - csr.user_mean_or(n.user.index(), global_mean));
+        den += n.similarity.abs();
+    }
+    if den <= 1e-12 {
+        return None;
+    }
+    let score = ctx.ratings.scale().bound(user_mean + num / den);
+    let len = neighbors.len() as f64;
+    let fill = len / k as f64;
+    let mean_rating = neighbors.iter().map(|n| n.rating).sum::<f64>() / len;
+    let var = neighbors
+        .iter()
+        .map(|n| (n.rating - mean_rating).powi(2))
+        .sum::<f64>()
+        / len;
+    let agreement = 1.0 - (var.sqrt() / (ctx.ratings.scale().span() / 2.0)).min(1.0);
+    let confidence = Confidence::new(fill.min(1.0) * (0.3 + 0.7 * agreement));
+    Some(Prediction::new(score, confidence))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The sorted row walk ranks every unrated item's neighbours
+    /// exactly as the per-item column walk does (same users, same
+    /// order, same bits), and `recommend` scores match the reference
+    /// arithmetic over those lists, for every similarity measure, a
+    /// negative `min_similarity`, `k` from 1 to beyond any item's rater
+    /// count, exact and pruned mode, and users with empty rows.
+    #[test]
+    fn sorted_gather_matches_column_walk(
+        seed in 0u64..1000,
+        n_users in 90usize..150,
+        n_items in 8usize..30,
+        emptied in 1usize..4,
+    ) {
+        let mut w = movies::generate(&WorldConfig {
+            n_users,
+            n_items,
+            density: 0.2,
+            seed,
+            ..WorldConfig::default()
+        });
+        // Empty a few rows outright, one of them a probed user below.
+        for u in (0..n_users).step_by(n_users / emptied).take(emptied) {
+            let user = UserId(u as u32);
+            let rated: Vec<ItemId> = w.ratings.user_ratings(user).iter().map(|&(i, _)| i).collect();
+            for item in rated {
+                w.ratings.unrate(user, item).unwrap();
+            }
+        }
+        let ctx = Ctx::new(&w.ratings, &w.catalog);
+        let probes: Vec<UserId> = (0..n_users).step_by(n_users / 4).map(|u| UserId(u as u32)).collect();
+        // Small clusters and budget, so pruned scans really prune at
+        // small k; larger k falls back to exact.
+        let index = IndexConfig {
+            centroids: 4,
+            probes: 1,
+            candidate_budget: 16,
+            min_candidates: 8,
+            ..IndexConfig::default()
+        };
+        let mut pruned_scans = 0;
+        for similarity in [
+            Similarity::Pearson,
+            Similarity::Cosine,
+            Similarity::AdjustedCosine,
+            Similarity::Jaccard,
+        ] {
+            for min_similarity in [0.0, -2.0] {
+                for k in [1, 3, 20, n_users + 1] {
+                    for mode in [ScanMode::Exact, ScanMode::Pruned] {
+                        let config = UserKnnConfig {
+                            k,
+                            similarity,
+                            min_similarity,
+                            ..UserKnnConfig::default()
+                        };
+                        let engine = engine_with(TileSize::Auto, index);
+                        let model = UserKnn::new(config.clone())
+                            .unwrap()
+                            .with_engine(Arc::clone(&engine), mode);
+                        let params = SimParams {
+                            similarity,
+                            min_overlap: config.min_overlap,
+                            significance: config.significance,
+                        };
+                        let csr = engine.csr(&w.ratings, &params);
+                        let mut sims = Vec::new();
+                        for &user in &probes {
+                            let label = format!("{similarity:?} min_sim {min_similarity} k {k} {mode:?} user {user}");
+                            let list = scan_list(&engine, &csr, user, mode, k);
+                            scan_similarities(&csr, &params, user, Some(&list), engine.tile(), &mut sims);
+                            let unrated: Vec<ItemId> = w
+                                .catalog
+                                .ids()
+                                .filter(|&i| w.ratings.rating(user, i).is_none())
+                                .collect();
+                            let mut eligible = vec![false; csr.n_items()];
+                            for i in &unrated {
+                                eligible[i.index()] = true;
+                            }
+                            let lists = top_k_per_item(&csr, &sims, user, &eligible, k, min_similarity);
+                            let mut want = Vec::new();
+                            for (i, got) in lists.iter().enumerate() {
+                                if !eligible[i] {
+                                    prop_assert!(got.is_empty(), "{}: item {} is not eligible", label, i);
+                                    continue;
+                                }
+                                let reference = column_walk(&csr, &sims, user, i, &config);
+                                prop_assert_eq!(got.len(), reference.len(), "{}: item {} list length", label, i);
+                                for (x, y) in got.iter().zip(&reference) {
+                                    prop_assert_eq!(x.user, y.user, "{}: item {} neighbour order", label, i);
+                                    prop_assert_eq!(x.similarity.to_bits(), y.similarity.to_bits(), "{}: item {}", label, i);
+                                    prop_assert_eq!(x.rating.to_bits(), y.rating.to_bits(), "{}: item {}", label, i);
+                                }
+                                if let Some(prediction) = reference_prediction(&ctx, &csr, user, &reference, k) {
+                                    want.push(Scored { item: ItemId(i as u32), prediction });
+                                }
+                            }
+                            want.sort_by(|a, b| {
+                                b.prediction
+                                    .score
+                                    .partial_cmp(&a.prediction.score)
+                                    .unwrap()
+                                    .then(a.item.cmp(&b.item))
+                            });
+                            assert_bit_identical(&model.recommend(&ctx, user, usize::MAX), &want, &label);
+                        }
+                        pruned_scans += engine.stats().pruned_scans;
+                    }
+                }
+            }
+        }
+        prop_assert!(pruned_scans > 0, "some pruned requests must really prune");
     }
 }
 

@@ -22,7 +22,7 @@ use exrec_algo::{
 use exrec_core::aims::Aim;
 use exrec_core::engine::Explainer;
 use exrec_core::explanation::Explanation;
-use exrec_core::interfaces::InterfaceId;
+use exrec_core::interfaces::{EvidenceNeed, InterfaceId};
 use exrec_core::render::{PlainRenderer, Render};
 use exrec_core::QualityProbe;
 use exrec_data::synth::{movies, WorldConfig};
@@ -342,6 +342,23 @@ impl ExplainApp {
         &self.monitor
     }
 
+    /// The interface an explain naming only `aim` is served with: the
+    /// quality book's aim-fit choice when the served user-kNN model can
+    /// feed its evidence, else the configured default. The book is
+    /// measured across models, so its choice may need evidence this
+    /// model never produces (`effectiveness` picks item-kNN anchors).
+    pub(crate) fn interface_for_aim(&self, aim: Aim) -> InterfaceId {
+        self.book
+            .select_or_default(aim)
+            .filter(|id| {
+                matches!(
+                    id.descriptor().needs,
+                    EvidenceNeed::Any | EvidenceNeed::UserNeighbors
+                )
+            })
+            .unwrap_or(self.config.default_interface)
+    }
+
     /// Runs the (test-gated) fault hooks shared by both POST endpoints.
     fn fault_hooks(
         &self,
@@ -554,13 +571,10 @@ impl ExplainApp {
         self.fault_hooks(req.inject_panic, req.inject_delay_ms, deadline)?;
         let aim = self.resolve_aim(req.aim.as_deref())?;
         // An explicit interface always wins; an aim alone selects the
-        // measurably best-fitting interface from the quality book.
+        // measurably best-fitting interface the model can feed.
         let interface = match (req.interface.as_deref(), aim) {
             (Some(key), _) => self.resolve_interface(Some(key))?,
-            (None, Some(aim)) => self
-                .book
-                .select_or_default(aim)
-                .unwrap_or(self.config.default_interface),
+            (None, Some(aim)) => self.interface_for_aim(aim),
             (None, None) => self.config.default_interface,
         };
         let world = self.world.read();

@@ -486,7 +486,9 @@ pub struct AimSelectionBody {
     /// Lowercased aim name.
     pub aim: String,
     /// Interface key `?aim=` selects (measured argmax, falling back to
-    /// the static default when nothing is measured).
+    /// the static default when nothing is measured, and to the
+    /// configured default interface when the served model cannot feed
+    /// that choice).
     pub selected: String,
     /// The selected interface's measured score for the aim.
     pub score: f64,

@@ -932,17 +932,11 @@ fn debug_quality(shared: &Shared) -> Response {
         .into_iter()
         .map(|aim| {
             let static_default = exrec_registry::quality::static_default_for_aim(aim);
-            let (selected, score) = match book.select_for_aim(aim) {
-                Some((id, score)) => (id, score),
-                None => (
-                    static_default.unwrap_or(app.config().default_interface),
-                    0.0,
-                ),
-            };
+            let selected = app.interface_for_aim(aim);
             AimSelectionBody {
                 aim: aim.name().to_ascii_lowercase(),
                 selected: selected.key().to_owned(),
-                score,
+                score: book.aim_score(selected, aim),
                 static_default: static_default.map(|id| id.key().to_owned()),
                 static_score: static_default
                     .map(|id| book.aim_score(id, aim))

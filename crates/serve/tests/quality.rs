@@ -334,3 +334,40 @@ fn online_estimator_agrees_with_offline_fidelity_on_the_same_world() {
         offline.fidelity
     );
 }
+
+#[test]
+fn an_aim_alone_never_selects_an_interface_the_model_cannot_feed() {
+    // The serving defaults' world: there the book's measured winner for
+    // `effectiveness` needs item-kNN anchors, which user-kNN never has.
+    let handle = start_server(|server, app| {
+        server.debug_endpoints = true;
+        let defaults = AppConfig::default();
+        app.n_users = defaults.n_users;
+        app.n_items = defaults.n_items;
+        app.density = defaults.density;
+    });
+    let mut client = Client::connect(handle.addr());
+    let response = client.roundtrip(
+        "POST",
+        "/v1/explain",
+        Some(r#"{"user":5,"item":10,"aim":"effectiveness"}"#),
+    );
+    assert_eq!(response.status, 200, "{}", response.body);
+    let explained: ExplainResponse = serde_json::from_str(&response.body).unwrap();
+    assert_eq!(explained.aim.as_deref(), Some("effectiveness"));
+    assert_eq!(
+        explained.explanation.interface,
+        AppConfig::default().default_interface.key()
+    );
+
+    // `/debug/quality` reports the interface the request was served with.
+    let response = client.roundtrip("GET", "/debug/quality", None);
+    let body: DebugQualityBody = serde_json::from_str(&response.body).unwrap();
+    let row = body
+        .selection
+        .iter()
+        .find(|row| row.aim == "effectiveness")
+        .expect("one row per aim");
+    assert_eq!(row.selected, explained.explanation.interface);
+    handle.shutdown();
+}
